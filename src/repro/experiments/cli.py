@@ -361,11 +361,16 @@ def _profile_sim(args) -> str:
             f"{top}")
 
 
-def _print_job_summary(job_records, count: int = 5) -> None:
+def _print_job_summary(job_records, trace_builds=(),
+                       count: int = 5) -> None:
     """Slowest-jobs accounting for everything actually simulated."""
     total = total_wall_seconds(job_records)
+    shared = ""
+    if trace_builds:
+        shared = (f" + {sum(trace_builds):.1f}s building "
+                  f"{len(trace_builds)} shared trace(s) in the parent")
     print(f"[{len(job_records)} jobs simulated, {total:.1f}s of "
-          f"simulation; slowest:]")
+          f"simulation{shared}; slowest:]")
     slowest = sorted(job_records, key=lambda r: r.wall_seconds,
                      reverse=True)
     for record in slowest[:count]:
@@ -717,6 +722,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     started_clock = time.time()
     runner.pop_job_records()  # drain stale accounting (tests, REPLs)
     runner.pop_served_runs()
+    runner.pop_trace_builds()
     runner.set_jobs(args.jobs)
     runner.set_fault_policy(retries=args.retries,
                             retry_backoff=args.retry_backoff,
@@ -799,6 +805,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             _staged("profile pass", started)
         job_records = runner.pop_job_records()
         served_runs = runner.pop_served_runs()
+        trace_builds = runner.pop_trace_builds()
         if args.timeline:
             writer = TraceEventWriter()
             for collector in timeline_collectors:
@@ -821,7 +828,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"timeline trace written to {args.timeline} "
                   f"(load at https://ui.perfetto.dev)")
         if job_records:
-            _print_job_summary(job_records)
+            _print_job_summary(job_records, trace_builds)
         failures = runner.failed_runs()
         if failures:
             _print_failure_summary(failures)
@@ -889,6 +896,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         workers=args.jobs,
         jobs_simulated=sum(1 for r in job_records if r.ok),
         jobs_failed=sum(1 for r in job_records if not r.ok),
+        traces_built=len(trace_builds),
+        trace_build_seconds=sum(trace_builds),
         fault_policy=fault_policy,
         job_records=[
             JobRecord(job=r.job.describe(),

@@ -1074,6 +1074,7 @@ def cmd(args: argparse.Namespace) -> int:
     started_clock = time.time()
     runner.pop_job_records()
     runner.pop_served_runs()
+    runner.pop_trace_builds()
     runner.set_jobs(args.jobs)
     runner.set_fault_policy(retries=args.retries,
                             retry_backoff=args.retry_backoff,
@@ -1092,6 +1093,7 @@ def cmd(args: argparse.Namespace) -> int:
             seed=args.seed, min_measure=args.min_measure,
             warmup_factor=args.warmup_factor, log=print)
         job_records = runner.pop_job_records()
+        trace_builds = runner.pop_trace_builds()
         # Drain the served-run log too, so repeated in-process
         # invocations (tests) start from clean accounting.
         runner.pop_served_runs()
@@ -1181,6 +1183,8 @@ def cmd(args: argparse.Namespace) -> int:
             workers=args.jobs,
             jobs_simulated=sum(1 for r in job_records if r.ok),
             jobs_failed=sum(1 for r in job_records if not r.ok),
+            traces_built=len(trace_builds),
+            trace_build_seconds=sum(trace_builds),
             fault_policy=fault_policy,
             job_records=[
                 JobRecord(job=r.job.describe(),

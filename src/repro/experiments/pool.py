@@ -5,10 +5,22 @@ benchmark) pairs — every figure in the reproduction is a static job list
 with no cross-job data flow.  :func:`run_jobs` maps such a list over
 worker processes:
 
-* **Deterministic**: each job re-derives its trace from (benchmark,
-  seed), so a job's result is a pure function of the job tuple; results
-  return in submission order and are bit-for-bit identical to a serial
-  run regardless of worker count or scheduling.
+* **Deterministic**: a job's trace is a pure function of its trace key
+  (benchmark, measure, warmup, seed), so its result is a pure function
+  of the job tuple; results return in submission order and are
+  bit-for-bit identical to a serial run regardless of worker count or
+  scheduling.
+* **Trace sharing**: every model simulating one benchmark interval
+  replays the same trace, so under ``fork`` the parent launches jobs
+  grouped by trace key, builds a key's (warm-up, measure) trace pair
+  once when two or more pending launches share it, and hands it to each
+  worker as a process argument (inherited, not copied).  It drops the
+  pair once no launch of that key is pending, so at most one is held at
+  each fork.  A pair is built at its group's first launch, never ahead
+  of it.  A key used by one job, a pair whose build raised or outlasted
+  ``timeout``, and every ``spawn`` worker build their own trace in the
+  worker, as does the serial path.  A job's ``wall_seconds`` therefore
+  excludes a parent-built trace; ``on_trace_built`` reports that cost.
 * **Fault tolerant**: a worker exception, a wedged (timed-out) job or a
   worker process dying outright produces a structured
   :class:`JobFailure` in the job's result slot instead of tearing down
@@ -31,7 +43,11 @@ worker-side start signal).  In the serial path the check is necessarily
 post-hoc: the job has already run to completion in-process when the
 over-budget wall time is observed, so it is quarantined without retry
 (a deterministic job would only run long again) and all prior completed
-results are kept.
+results are kept.  A trace pair the parent built for a job counts
+against that job's budget exactly as a worker-built one would: its
+build seconds are taken off the worker's deadline, and a pair whose
+build alone took longer than ``timeout`` is discarded so the workers
+build it themselves and time out as they always did.
 """
 
 from __future__ import annotations
@@ -41,7 +57,7 @@ import multiprocessing
 import os
 import queue as queue_lib
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -279,21 +295,33 @@ def _available_start_method() -> Optional[str]:
     return None
 
 
-def _execute_job(job: SimJob) -> JobResult:
-    """Worker body: simulate one job (no caching — the parent caches)."""
-    from repro.experiments.runner import simulate
+def _trace_key(job: SimJob) -> Tuple:
+    """The jobs with equal keys replay one identical trace pair."""
+    return (job.benchmark, job.measure, job.warmup, job.seed)
+
+
+def _execute_job(job: SimJob, traces=None) -> JobResult:
+    """Worker body: simulate one job (no caching — the parent caches).
+
+    ``traces`` is the job's trace pair when the parent built it; without
+    it the job derives its own through ``simulate``'s memo.
+    """
+    from repro.experiments.runner import simulate, simulate_traces
 
     started_ts = time.time()
     started = time.perf_counter()
-    run = simulate(job.config, job.benchmark, job.measure, job.warmup,
-                   job.seed)
+    if traces is None:
+        run = simulate(job.config, job.benchmark, job.measure,
+                       job.warmup, job.seed)
+    else:
+        run = simulate_traces(job.config, job.benchmark, traces)
     return JobResult(job=job, run=run,
                      wall_seconds=time.perf_counter() - started,
                      started_ts=started_ts)
 
 
 def _worker_main(job: SimJob, attempt: int, index: int, results,
-                 injector) -> None:
+                 injector, traces=None) -> None:
     """Per-job worker process: report start, simulate, report outcome."""
     pid = os.getpid()
     started = time.perf_counter()
@@ -301,7 +329,7 @@ def _worker_main(job: SimJob, attempt: int, index: int, results,
         results.put((index, attempt, "started", pid))
         if injector is not None:
             injector(job, attempt)
-        result = _execute_job(job)
+        result = _execute_job(job, traces)
         results.put((index, attempt, "ok", result))
     except BaseException as exc:  # noqa: BLE001 — isolation is the point
         try:
@@ -327,11 +355,14 @@ class _Running:
 
     __slots__ = ("proc", "attempt", "launched", "launched_ts",
                  "exec_started", "exec_started_ts", "deadline",
-                 "dead_since")
+                 "dead_since", "charged")
 
-    def __init__(self, proc, attempt: int):
+    def __init__(self, proc, attempt: int, charged: float = 0.0):
         self.proc = proc
         self.attempt = attempt
+        #: Seconds of this job's budget already spent before launch (a
+        #: parent-built trace pair).
+        self.charged = charged
         self.launched = time.monotonic()
         self.launched_ts = time.time()
         self.exec_started: Optional[float] = None
@@ -363,24 +394,76 @@ def _run_parallel(
     on_result,
     context,
     on_attempt=None,
+    on_trace_built=None,
 ) -> List[Union[JobResult, JobFailure]]:
     """Slot-based scheduler: one process per attempt, deadline per job.
 
     At most ``workers`` attempts run at once; a job's execution deadline
     starts at its worker's "started" signal, so queue wait is never
-    charged against ``timeout``.  Outcomes are reassembled into
-    submission order regardless of completion order.
+    charged against ``timeout``.  Launches are grouped by trace key so
+    a parent-built trace pair serves its whole group (see the module
+    docstring).  Outcomes are reassembled into submission order
+    regardless of completion order.
     """
+    from repro.workloads import generate_trace_pair
+
     results_q = context.Queue()
     injector = _FAULT_INJECTOR
     outcomes: List[Optional[Union[JobResult, JobFailure]]] = (
         [None] * len(jobs))
-    pending = deque((index, 1) for index in range(len(jobs)))
+    keys = [_trace_key(job) for job in jobs]
+    groups: Dict[Tuple, List[int]] = {}
+    for index, key in enumerate(keys):
+        groups.setdefault(key, []).append(index)
+    pending = deque((index, 1) for group in groups.values()
+                    for index in group)
+    pending_keys = Counter(keys)
+    handoff = context.get_start_method() == "fork"
+    # (trace key, trace pair, build seconds) being handed out.
+    held: Tuple = (None, None, 0.0)
+    worker_built = set()  # keys whose parent-side build raised or ran long
     waiting: List[Tuple[float, int, int]] = []  # (ready_at, idx, attempt)
     running: Dict[int, _Running] = {}
 
     def completed() -> List[JobResult]:
         return [o for o in outcomes if isinstance(o, JobResult)]
+
+    def traces_for(index: int) -> Tuple:
+        """``(trace pair, build seconds)`` to hand job ``index``'s
+        worker, or ``(None, 0.0)`` when the worker builds its own.
+
+        ``index`` is still counted in ``pending_keys``.
+        """
+        nonlocal held
+        key = keys[index]
+        if held[0] == key:
+            return held[1], held[2]
+        held = (None, None, 0.0)  # release before building the next pair
+        if not handoff or key in worker_built or pending_keys[key] < 2:
+            return None, 0.0
+        began = time.perf_counter()
+        job = jobs[index]
+        try:
+            traces = generate_trace_pair(job.benchmark, job.warmup,
+                                         job.measure, job.seed)
+        except Exception:
+            # The worker rebuilds and fails exactly as it would have.
+            worker_built.add(key)
+            return None, 0.0
+        seconds = time.perf_counter() - began
+        if on_trace_built is not None:
+            try:
+                on_trace_built(key, seconds)
+            except Exception:
+                pass
+        if timeout is not None and seconds >= timeout:
+            # The build alone used up every job's budget: let the
+            # workers rebuild it under their deadlines, as they did
+            # before the parent built traces.
+            worker_built.add(key)
+            return None, 0.0
+        held = (key, traces, seconds)
+        return traces, seconds
 
     def settle(index: int, failure: JobFailure) -> None:
         """Retry a failed attempt, or quarantine / abort the sweep."""
@@ -404,16 +487,22 @@ def _run_parallel(
                 waiting = [e for e in waiting if e[0] > now]
                 for _, index, attempt in due:
                     pending.append((index, attempt))
+                    pending_keys[keys[index]] += 1
             while pending and len(running) < workers:
                 index, attempt = pending.popleft()
+                traces, charged = traces_for(index)
+                pending_keys[keys[index]] -= 1
                 proc = context.Process(
                     target=_worker_main,
                     args=(jobs[index], attempt, index, results_q,
-                          injector),
+                          injector, traces),
                 )
+                del traces
                 proc.daemon = True
                 proc.start()
-                running[index] = _Running(proc, attempt)
+                running[index] = _Running(proc, attempt, charged)
+                if held[0] is not None and not pending_keys[held[0]]:
+                    held = (None, None, 0.0)
             if not running:
                 time.sleep(_POLL_SECONDS)
                 continue
@@ -433,7 +522,8 @@ def _run_parallel(
                     state.exec_started = time.monotonic()
                     state.exec_started_ts = time.time()
                     if timeout is not None:
-                        state.deadline = state.exec_started + timeout
+                        state.deadline = (state.exec_started + timeout
+                                          - state.charged)
                 elif kind == "ok":
                     del running[index]
                     state.proc.join(5.0)
@@ -477,7 +567,10 @@ def _run_parallel(
                     settle(index, JobFailure(
                         job=jobs[index], cause="timeout",
                         error=(f"exceeded the {timeout:.1f}s per-job "
-                               f"execution timeout"),
+                               f"execution timeout" + (
+                                   f" ({state.charged:.1f}s of it "
+                                   f"building its trace in the parent)"
+                                   if state.charged else "")),
                         error_type="JobTimeoutError",
                         attempts=state.attempt, wall_seconds=ran_for,
                         worker_pid=proc.pid or 0))
@@ -596,6 +689,7 @@ def run_jobs(
     fail_fast: bool = False,
     on_result: Optional[Callable[[JobResult], None]] = None,
     on_attempt: Optional[Callable[..., None]] = None,
+    on_trace_built: Optional[Callable[[Tuple, float], None]] = None,
 ) -> List[Union[JobResult, JobFailure]]:
     """Run every job; outcomes in submission order.
 
@@ -633,6 +727,12 @@ def run_jobs(
             ``started_ts`` is host wall-clock epoch seconds.  The hook
             is observation-only: exceptions it raises are swallowed
             and it must never affect results.
+        on_trace_built: Optional accounting hook ``(trace_key,
+            seconds)`` fired in the parent after each trace pair it
+            builds for forked workers (see the module docstring), one
+            discarded for outlasting ``timeout`` included.  Those
+            seconds are in no job's ``wall_seconds``.  Observation-only,
+            like ``on_attempt``.
 
     Returns:
         One entry per job, in submission order: :class:`JobResult` for
@@ -652,7 +752,7 @@ def run_jobs(
     context = multiprocessing.get_context(method)
     return _run_parallel(jobs, min(workers, len(jobs)), timeout,
                          retries, retry_backoff, fail_fast, on_result,
-                         context, on_attempt)
+                         context, on_attempt, on_trace_built)
 
 
 def split_outcomes(

@@ -42,12 +42,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.core import CoreConfig, CoreStats, build_core
 from repro.core.warmup import functional_warmup
 from repro.energy import EnergyBreakdown, EnergyModel
-from repro.workloads import (
-    TraceGenerator,
-    build_program,
-    get_profile,
-    renumber_trace,
-)
+from repro.workloads import generate_trace_pair
 
 #: Default measured-interval length (dynamic instructions).
 DEFAULT_MEASURE = 8_000
@@ -106,6 +101,9 @@ _JOBS = 1
 #: Generated (warm, measure) trace pairs; every model simulating the
 #: same benchmark interval replays the identical immutable trace.
 _TRACE_MEMO: Dict[Tuple, Tuple[list, list]] = {}
+#: Seconds of each trace pair a pool parent built for its workers
+#: since the last drain; see :func:`pop_trace_builds`.
+_TRACE_BUILDS: List[float] = []
 #: Accounting for every job actually simulated by this process (pool
 #: fan-outs and cache-miss ``run_benchmark`` calls alike); drained by
 #: :func:`pop_job_records` for the CLI's manifest and slowest-jobs view.
@@ -166,7 +164,9 @@ def simulate(
     compute in a worker process or load back from disk.  Traces are
     memoised per process: ``DynInst`` records are immutable and the
     cores never mutate the trace list, so every model simulating the
-    same benchmark interval can replay one shared trace.
+    same benchmark interval can replay one shared trace.  A pool worker
+    handed its trace pair by the parent skips this memo and calls
+    :func:`simulate_traces` directly.
 
     ``obs`` optionally attaches a :class:`repro.obs.Observability`
     bundle to the simulated core (stall attribution, occupancy metrics,
@@ -176,14 +176,20 @@ def simulate(
     trace_key = (benchmark, measure, warmup, seed)
     traces = _TRACE_MEMO.get(trace_key)
     if traces is None:
-        generator = TraceGenerator(
-            build_program(get_profile(benchmark), seed=seed), seed=seed
-        )
-        traces = (generator.generate(warmup),
-                  renumber_trace(generator.generate(measure)))
+        traces = generate_trace_pair(benchmark, warmup, measure, seed)
         if len(_TRACE_MEMO) >= 64:  # bound memory on long sweeps
             _TRACE_MEMO.clear()
         _TRACE_MEMO[trace_key] = traces
+    return simulate_traces(config, benchmark, traces, obs)
+
+
+def simulate_traces(config: CoreConfig, benchmark: str, traces,
+                    obs=None) -> BenchmarkRun:
+    """Warm a fresh core on ``traces[0]``, then measure ``traces[1]``.
+
+    ``traces`` is the pair :func:`repro.workloads.generate_trace_pair`
+    returns for the job's (benchmark, warmup, measure, seed).
+    """
     warm_trace, measure_trace = traces
     core = build_core(config, obs=obs)
     functional_warmup(core, warm_trace)
@@ -296,6 +302,7 @@ def run_sweep(
     resume: bool = False,
     on_outcome=None,
     on_attempt=None,
+    on_trace_built=None,
 ) -> List[SweepOutcome]:
     """Serve a job list end to end: cache dedup, quarantine, pool.
 
@@ -316,9 +323,11 @@ def run_sweep(
     ``on_attempt`` is the pool's per-attempt telemetry hook (see
     :func:`repro.experiments.pool.run_jobs`), passed through verbatim
     so the serving layer can record one trace span per execution
-    attempt, retries included.  Returns one :class:`SweepOutcome` per
-    input job in submission order; duplicate jobs share a single
-    execution and outcome.
+    attempt, retries included.  ``on_trace_built`` is the pool's
+    ``(trace_key, seconds)`` hook for trace pairs the pool parent built
+    for its workers, time that no outcome's ``wall_seconds`` includes.
+    Returns one :class:`SweepOutcome` per input job in submission order;
+    duplicate jobs share a single execution and outcome.
     """
     from repro.experiments.pool import JobFailure, SimJob, run_jobs
 
@@ -388,7 +397,8 @@ def run_sweep(
     pool_outcomes = run_jobs(misses, workers=workers, timeout=timeout,
                              retries=retries,
                              retry_backoff=retry_backoff,
-                             on_result=_landed, on_attempt=on_attempt)
+                             on_result=_landed, on_attempt=on_attempt,
+                             on_trace_built=on_trace_built)
     for job, key, outcome in zip(misses, miss_keys, pool_outcomes):
         if isinstance(outcome, JobFailure):
             if cache is not None:
@@ -472,10 +482,12 @@ def prefetch(
                               job.warmup, job.seed, result.run)
 
     try:
-        outcomes = run_jobs(list(todo.values()), workers=_JOBS,
-                            timeout=_TIMEOUT, retries=_RETRIES,
-                            retry_backoff=_RETRY_BACKOFF,
-                            fail_fast=_FAIL_FAST, on_result=_persist)
+        outcomes = run_jobs(
+            list(todo.values()), workers=_JOBS, timeout=_TIMEOUT,
+            retries=_RETRIES, retry_backoff=_RETRY_BACKOFF,
+            fail_fast=_FAIL_FAST, on_result=_persist,
+            on_trace_built=lambda _key, seconds: _TRACE_BUILDS.append(
+                seconds))
     except SweepAborted as aborted:
         # Completed results were already persisted by _persist; seed
         # the memory cache too so the caller can salvage them.
@@ -543,6 +555,19 @@ def pop_job_records() -> List:
     records = list(_JOB_RECORDS)
     _JOB_RECORDS.clear()
     return records
+
+
+def pop_trace_builds() -> List[float]:
+    """Drain the seconds of every trace pair a :func:`prefetch` pool
+    parent built for its workers since the last drain.
+
+    That time is in no job's ``wall_seconds``; the CLI reports it next
+    to the job accounting so a shorter job time is not read as a faster
+    core.
+    """
+    builds = list(_TRACE_BUILDS)
+    _TRACE_BUILDS.clear()
+    return builds
 
 
 def pop_served_runs() -> List[BenchmarkRun]:

@@ -9,7 +9,7 @@ itself stays immutable so a trace can be replayed across models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
 from repro.isa.opclass import (
@@ -75,23 +75,9 @@ class DynInst:
             raise ValueError(f"{self.op} must not carry a memory address")
         if self.taken and self.target is None:
             raise ValueError("taken branch requires a target")
-        set_attr = object.__setattr__
-        set_attr(self, "is_branch", is_branch(self.op))
-        set_attr(self, "is_mem", mem)
-        set_attr(self, "is_load", is_load(self.op))
-        set_attr(self, "is_store", is_store(self.op))
-        # FU routing and base execution latency are pure functions of
-        # the op class; traces are memoised across runs, so resolving
-        # them here removes two dict lookups per issue attempt.
-        set_attr(self, "fu_type", FU_FOR_OPCLASS[self.op])
-        set_attr(self, "latency", LATENCY[self.op])
-        set_attr(self, "ixu_eligible", self.op in IXU_ELIGIBLE)
-        # Dense cross-class register indices (see Reg.flat): the
-        # in-order core's readiness table is subscripted with these on
-        # every issue attempt.
-        set_attr(self, "src_flats", tuple(s.flat for s in self.srcs))
-        set_attr(self, "dest_flat",
-                 self.dest.flat if self.dest is not None else None)
+        for setter, value in zip(_DERIVED_SETTERS, derived_fields(
+                self.op, self.dest, self.srcs)):
+            setter(self, value)
 
     @property
     def fall_through(self) -> int:
@@ -117,3 +103,74 @@ class DynInst:
             f"<#{self.seq} pc=0x{self.pc:x} {self.op.value} "
             f"{dest}{operands}{extra}>"
         )
+
+
+def derived_fields(op: OpClass, dest: Optional[Reg],
+                   srcs: Tuple[Reg, ...]) -> Tuple:
+    """The nine derived :class:`DynInst` fields, in declaration order.
+
+    All are pure functions of the static operands.  The op-class flags,
+    FU routing and base latency save the cores a lookup per issue
+    attempt; the dense register indices (see ``Reg.flat``) subscript the
+    in-order core's readiness table directly.
+    """
+    return (is_branch(op), is_mem(op), is_load(op), is_store(op),
+            FU_FOR_OPCLASS[op], LATENCY[op], op in IXU_ELIGIBLE,
+            tuple(s.flat for s in srcs),
+            dest.flat if dest is not None else None)
+
+
+#: Slot setters of every DynInst field, in declaration order; they
+#: write a frozen instance's slots without going through ``__setattr__``.
+(_set_seq, _set_pc, _set_op, _set_dest, _set_srcs, _set_mem_addr,
+ _set_mem_size, _set_taken, _set_target, _set_is_branch, _set_is_mem,
+ _set_is_load, _set_is_store, _set_fu_type, _set_latency,
+ _set_ixu_eligible, _set_src_flats, _set_dest_flat) = _SETTERS = tuple(
+    DynInst.__dict__[f.name].__set__ for f in fields(DynInst))
+_DERIVED_SETTERS = _SETTERS[9:]
+_new = object.__new__
+
+
+def static_template(pc: int, op: OpClass, dest: Optional[Reg],
+                    srcs: Tuple[Reg, ...]) -> Tuple:
+    """The fields every dynamic instance of one static instruction
+    shares, derived ones included, for :func:`build_dyninst`."""
+    return (pc, op, dest, srcs, *derived_fields(op, dest, srcs))
+
+
+def build_dyninst(template: Tuple, seq: int,
+                  mem_addr: Optional[int] = None, mem_size: int = 0,
+                  taken: bool = False,
+                  target: Optional[int] = None) -> DynInst:
+    """The trace generator's fast path to a :class:`DynInst`.
+
+    Equal, field for field, to ``DynInst(seq, pc, op, dest, srcs,
+    mem_addr, mem_size, taken, target)`` for ``template =
+    static_template(pc, op, dest, srcs)``, but the derived fields are
+    copied from the template (one shared ``src_flats`` tuple included)
+    instead of recomputed, and the constructor's operand checks are
+    skipped: the caller guarantees that exactly the memory ops carry an
+    address and that every taken branch has a target.
+    """
+    (pc, op, dest, srcs, branch, mem, load, store, fu_type, latency, ixu,
+     src_flats, dest_flat) = template
+    inst = _new(DynInst)
+    _set_seq(inst, seq)
+    _set_pc(inst, pc)
+    _set_op(inst, op)
+    _set_dest(inst, dest)
+    _set_srcs(inst, srcs)
+    _set_mem_addr(inst, mem_addr)
+    _set_mem_size(inst, mem_size)
+    _set_taken(inst, taken)
+    _set_target(inst, target)
+    _set_is_branch(inst, branch)
+    _set_is_mem(inst, mem)
+    _set_is_load(inst, load)
+    _set_is_store(inst, store)
+    _set_fu_type(inst, fu_type)
+    _set_latency(inst, latency)
+    _set_ixu_eligible(inst, ixu)
+    _set_src_flats(inst, src_flats)
+    _set_dest_flat(inst, dest_flat)
+    return inst

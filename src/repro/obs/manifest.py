@@ -94,6 +94,10 @@ class RunManifest:
     workers: int = 1
     jobs_simulated: int = 0
     jobs_failed: int = 0
+    # Trace pairs the pool parent built once and handed to its forked
+    # workers, and the seconds that took: time no job record includes.
+    traces_built: int = 0
+    trace_build_seconds: float = 0.0
     fault_policy: Dict[str, object] = field(default_factory=dict)
     job_records: List[JobRecord] = field(default_factory=list)
     cache: Dict[str, object] = field(default_factory=dict)

@@ -142,6 +142,9 @@ def _provenance_section(manifest: RunManifest) -> List[str]:
         ("workers", manifest.workers),
         ("jobs simulated / failed",
          f"{manifest.jobs_simulated} / {manifest.jobs_failed}"),
+        ("shared traces built (seconds)",
+         f"{manifest.traces_built} "
+         f"({manifest.trace_build_seconds:.2f})"),
         ("cache", ", ".join(f"{key}={value}"
                             for key, value in sorted(cache.items()))
             or "-"),

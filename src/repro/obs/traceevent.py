@@ -25,9 +25,9 @@ Usage (what the CLI ``--timeline OUT.json`` does)::
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence
 
+from repro.atomicio import replace_json
 from repro.obs.stall import STALL_CAUSES
 from repro.obs.timeline import TimelineCollector
 
@@ -148,9 +148,10 @@ class TraceEventWriter:
         }
 
     def write(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle)
-            handle.write("\n")
+        """Publish the trace atomically: a reader polling ``path`` (the
+        job server's batch traces) sees the old file or the new one,
+        never a truncated one."""
+        replace_json(path, self.to_dict(), trailing_newline=True)
 
 
 def export_timelines(collectors: Sequence[TimelineCollector],

@@ -46,6 +46,12 @@ from repro.workloads import ALL_BENCHMARKS
 #: Models a job spec may name (the CLI's observed-model list).
 SERVE_MODELS: Tuple[str, ...] = MODEL_NAMES + ("CA",)
 
+#: Largest ``measure`` / ``warmup`` a job spec may ask for.  A trace
+#: shared by several jobs of a batch is built in the server process (the
+#: pool parent, outside any worker's fault boundary), so its size must be
+#: bounded: a pair at this cap holds ~120 MB of ``DynInst`` records.
+MAX_TRACE_INSTS = 250_000
+
 _JOB_KEYS = frozenset(
     {"model", "overrides", "benchmark", "measure", "warmup", "seed"})
 _BATCH_KEYS = frozenset({"tenant", "resume", "jobs", "trace_id"})
@@ -122,12 +128,15 @@ class BatchSpec:
         return data
 
 
-def _int_field(data: Mapping, key: str, default: int, minimum: int) -> int:
+def _int_field(data: Mapping, key: str, default: int, minimum: int,
+               maximum: Optional[int] = None) -> int:
     value = data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ProtocolError(f"{key!r} must be an integer, got {value!r}")
     if value < minimum:
         raise ProtocolError(f"{key!r} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ProtocolError(f"{key!r} must be <= {maximum}, got {value}")
     return value
 
 
@@ -158,8 +167,10 @@ def parse_job(data: object) -> JobSpec:
         benchmark=benchmark,
         model=model,
         overrides=tuple(sorted(overrides.items())),
-        measure=_int_field(data, "measure", DEFAULT_MEASURE, 1),
-        warmup=_int_field(data, "warmup", DEFAULT_WARMUP, 0),
+        measure=_int_field(data, "measure", DEFAULT_MEASURE, 1,
+                           MAX_TRACE_INSTS),
+        warmup=_int_field(data, "warmup", DEFAULT_WARMUP, 0,
+                          MAX_TRACE_INSTS),
         seed=_int_field(data, "seed", 0, 0),
     )
     try:

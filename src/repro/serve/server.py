@@ -45,7 +45,7 @@ import json
 import os
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.atomicio import _HOST
 from repro.experiments.diskcache import DiskCache, code_version, fingerprint
@@ -370,7 +370,8 @@ class SimServer:
 
     def _manifest_for(self, batch: Batch,
                       outcomes: List[SweepOutcome],
-                      started_at: str, wall: float) -> RunManifest:
+                      started_at: str, wall: float,
+                      trace_builds: Sequence[float] = ()) -> RunManifest:
         """Provenance for one batch, in the CLI sweep's exact schema
         (``repro-exp diff`` and ``report`` consume it unchanged)."""
         records: List[JobRecord] = []
@@ -432,12 +433,16 @@ class SimServer:
             job_records=records,
             cache=self.cache.counters(),
             aggregates=aggregates,
+            traces_built=len(trace_builds),
+            trace_build_seconds=sum(trace_builds),
         )
 
     async def _finish_batch(self, batch: Batch,
                             outcomes: List[SweepOutcome],
-                            started_at: str, wall: float) -> None:
-        manifest = self._manifest_for(batch, outcomes, started_at, wall)
+                            started_at: str, wall: float,
+                            trace_builds: Sequence[float] = ()) -> None:
+        manifest = self._manifest_for(batch, outcomes, started_at, wall,
+                                      trace_builds)
         manifest_path = None
         if self.manifest_dir is not None:
             from pathlib import Path
@@ -527,14 +532,19 @@ class SimServer:
                       "benchmark": job.benchmark, "attempt": attempt,
                       "status": status, "worker_pid": worker_pid}))
 
+        # Seconds of each trace pair the pool parent built for this
+        # batch's workers; no job's wall time includes them.
+        trace_builds: List[float] = []
         outcomes = await loop.run_in_executor(None, lambda: run_sweep(
             jobs, workers=self.workers, cache=self.cache,
             timeout=self.timeout, retries=self.retries,
             retry_backoff=self.retry_backoff,
             resume=batch.spec.resume, on_outcome=on_outcome,
-            on_attempt=on_attempt))
+            on_attempt=on_attempt,
+            on_trace_built=lambda _key, seconds: trace_builds.append(
+                seconds)))
         await self._finish_batch(batch, outcomes, started_at,
-                                 time.perf_counter() - perf)
+                                 time.perf_counter() - perf, trace_builds)
 
     async def _run_batch_spool(self, batch: Batch) -> None:
         """Execute one batch by enqueueing cache misses into the shared

@@ -34,6 +34,7 @@ from repro.workloads.program import (
 from repro.workloads.generator import (
     TraceGenerator,
     generate_trace,
+    generate_trace_pair,
     renumber_trace,
     trace_mix,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "build_program",
     "TraceGenerator",
     "generate_trace",
+    "generate_trace_pair",
     "renumber_trace",
     "trace_mix",
     "TraceFormatError",

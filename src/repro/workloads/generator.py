@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.isa.instruction import DynInst
+from repro.isa.instruction import DynInst, build_dyninst, static_template
 from repro.isa.opclass import OpClass, is_branch, is_fp, is_mem
 from repro.workloads.profiles import get_profile
 from repro.workloads.program import (
     BasicBlock,
     BranchKind,
     MemStream,
-    StaticInst,
     StreamKind,
     SyntheticProgram,
     build_program,
@@ -73,6 +72,15 @@ class TraceGenerator:
             _StreamState(s, self._rng) for s in program.streams
         ]
         self._seq = 0
+        # The derived DynInst fields are a pure function of the static
+        # instruction, so they are computed once per static (keyed by
+        # identity: the program outlives the map).
+        self._templates = {
+            id(static): static_template(static.pc, static.op,
+                                        static.dest, static.srcs)
+            for block in (*program.blocks, *program.functions)
+            for static in block.insts
+        }
         # Data-dependent ("random") branches are Markov-correlated: real
         # hard branches repeat their last outcome more often than not.
         self._last_outcome: Dict[int, bool] = {}
@@ -105,22 +113,13 @@ class TraceGenerator:
             self._program.blocks[self._block_idx]
         )
 
-    def _emit(self, static: StaticInst, **overrides) -> DynInst:
-        inst = DynInst(
-            seq=self._seq,
-            pc=static.pc,
-            op=static.op,
-            dest=static.dest,
-            srcs=static.srcs,
-            **overrides,
-        )
-        self._seq += 1
-        return inst
-
     def _step(self) -> DynInst:
         """Advance one dynamic instruction."""
         block = self._current_block()
         static = block.insts[self._inst_idx]
+        template = self._templates[id(static)]
+        seq = self._seq
+        self._seq = seq + 1
 
         if is_mem(static.op):
             stream = self._streams[static.stream_id]
@@ -128,12 +127,11 @@ class TraceGenerator:
                 static.op in (OpClass.STORE, OpClass.FP_STORE)
             )
             self._inst_idx += 1
-            return self._emit(static, mem_addr=addr,
-                              mem_size=static.mem_size)
+            return build_dyninst(template, seq, addr, static.mem_size)
 
         if not is_branch(static.op):
             self._inst_idx += 1
-            return self._emit(static)
+            return build_dyninst(template, seq)
 
         behavior = static.branch
         assert behavior is not None
@@ -150,42 +148,40 @@ class TraceGenerator:
             if taken:
                 target = static.pc + 4 * (behavior.skip + 1)
                 self._inst_idx += behavior.skip + 1
-                return self._emit(static, taken=True, target=target)
+                return build_dyninst(template, seq, taken=True, target=target)
             self._inst_idx += 1
-            return self._emit(static, taken=False)
+            return build_dyninst(template, seq)
 
         if behavior.kind is BranchKind.LOOP:
             if self._trips_left > 1:
                 self._trips_left -= 1
                 self._inst_idx = 0
-                return self._emit(static, taken=True, target=block.pc)
-            inst = self._emit(static, taken=False)
+                return build_dyninst(template, seq, taken=True,
+                                     target=block.pc)
             self._enter_block(self._block_idx + 1)
-            return inst
+            return build_dyninst(template, seq)
 
         if behavior.kind is BranchKind.CALL:
             callee = self._program.functions[behavior.callee]
-            inst = self._emit(static, taken=True, target=callee.pc)
             self._return_block = self._block_idx + 1
             self._in_function = callee
             self._inst_idx = 0
-            return inst
+            return build_dyninst(template, seq, taken=True, target=callee.pc)
 
         if behavior.kind is BranchKind.RET:
             target_block = self._program.blocks[
                 self._return_block % len(self._program.blocks)
             ]
-            inst = self._emit(static, taken=True, target=target_block.pc)
             self._enter_block(self._return_block)
-            return inst
+            return build_dyninst(template, seq, taken=True,
+                                 target=target_block.pc)
 
         # UNCOND: jump to the next block.
         next_block = self._program.blocks[
             (self._block_idx + 1) % len(self._program.blocks)
         ]
-        inst = self._emit(static, taken=True, target=next_block.pc)
         self._enter_block(self._block_idx + 1)
-        return inst
+        return build_dyninst(template, seq, taken=True, target=next_block.pc)
 
     def generate(self, n: int) -> List[DynInst]:
         """Generate the next ``n`` dynamic instructions."""
@@ -218,6 +214,23 @@ def renumber_trace(trace: List[DynInst]) -> List[DynInst]:
                 target=inst.target)
         for i, inst in enumerate(trace)
     ]
+
+
+def generate_trace_pair(
+    benchmark: str, warmup: int, measure: int, seed: int = 0
+) -> Tuple[List[DynInst], List[DynInst]]:
+    """The (warm-up, measured) traces of one simulation job.
+
+    Both slices come from one generator, so the measured interval
+    continues the warm-up's instruction stream; it is numbered from
+    seq 0, as the cores require.  Equal, record for record, to
+    ``renumber_trace`` applied to the generator's second slice.
+    """
+    generator = TraceGenerator(
+        build_program(get_profile(benchmark), seed=seed), seed=seed)
+    warm = generator.generate(warmup)
+    generator._seq = 0
+    return warm, generator.generate(measure)
 
 
 def trace_mix(trace: List[DynInst]) -> Dict[str, float]:

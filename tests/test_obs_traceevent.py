@@ -125,3 +125,28 @@ def test_empty_writer_still_valid():
     writer = TraceEventWriter()
     data = writer.to_dict()
     assert [e["ph"] for e in data["traceEvents"]] == ["M"]
+
+
+def test_write_replaces_the_file_atomically(tmp_path):
+    """A reader polling the path (the job server's batch traces) sees
+    the old trace or the new one, never a truncated file: the new trace
+    is published under a fresh inode, and a failed write leaves the old
+    one intact with no temp file behind."""
+    path = tmp_path / "batch.trace.json"
+    writer = TraceEventWriter()
+    writer.add_span("admit", 0.0, 5.0)
+    writer.write(str(path))
+    old = path.read_text()
+    inode = path.stat().st_ino
+    writer.add_span("stream", 5.0, 5.0)
+    writer.write(str(path))
+    assert path.stat().st_ino != inode
+    assert [e["name"] for e in json.loads(path.read_text())["traceEvents"]
+            if e["ph"] == "X"] == ["admit", "stream"]
+    broken = TraceEventWriter()
+    broken.add_span("bad", 0.0, 1.0, args={"value": object()})
+    path.write_text(old)
+    with pytest.raises(TypeError):
+        broken.write(str(path))
+    assert path.read_text() == old
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

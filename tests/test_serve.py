@@ -11,6 +11,7 @@ from repro.experiments.pool import FaultSpec, SimJob, set_fault_injector
 from repro.experiments.runner import run_sweep
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.protocol import (
+    MAX_TRACE_INSTS,
     ProtocolError,
     parse_batch,
     parse_job,
@@ -56,6 +57,17 @@ class TestProtocol:
             parse_job({"benchmark": "hmmer", "measure": 0})
         with pytest.raises(ProtocolError, match="'seed'"):
             parse_job({"benchmark": "hmmer", "seed": True})
+
+    def test_trace_length_bounded(self):
+        # A shared trace is built in the server process: cap its size.
+        top = MAX_TRACE_INSTS
+        spec = parse_job({"benchmark": "hmmer", "measure": top,
+                          "warmup": top})
+        assert (spec.measure, spec.warmup) == (top, top)
+        with pytest.raises(ProtocolError, match="'measure' must be <="):
+            parse_job({"benchmark": "hmmer", "measure": top + 1})
+        with pytest.raises(ProtocolError, match="'warmup' must be <="):
+            parse_job({"benchmark": "hmmer", "warmup": top + 1})
 
     def test_bad_override_key_rejected(self):
         with pytest.raises(ProtocolError):
