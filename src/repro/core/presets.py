@@ -11,6 +11,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 from typing import Tuple, Union
 
@@ -105,8 +106,14 @@ def ca_config(steering: str = "dependence") -> CoreConfig:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def model_config(name: str) -> CoreConfig:
-    """Look up a model configuration by name (Table I models + "CA")."""
+    """Look up a model configuration by name (Table I models + "CA").
+
+    Every call with one name returns the same frozen instance, so
+    repeated lookups build nothing and the disk cache's fingerprint
+    memo recognises the config by identity.
+    """
     factories = {
         "BIG": big_config,
         "HALF": half_config,

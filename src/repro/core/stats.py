@@ -70,8 +70,7 @@ class EventCounts:
     @classmethod
     def from_dict(cls, data: Dict) -> "EventCounts":
         """Inverse of :meth:`to_dict`; ignores unknown keys."""
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return cls(**{k: v for k, v in data.items() if k in _EVENT_FIELDS})
 
     def delta(self, since: "EventCounts") -> "EventCounts":
         """Field-wise ``self - since``: the events of the interval
@@ -80,6 +79,9 @@ class EventCounts:
             f.name: getattr(self, f.name) - getattr(since, f.name)
             for f in fields(self)
         })
+
+
+_EVENT_FIELDS = frozenset(f.name for f in fields(EventCounts))
 
 
 @dataclass
@@ -168,8 +170,7 @@ class CoreStats:
     @classmethod
     def from_dict(cls, data: Dict) -> "CoreStats":
         """Inverse of :meth:`to_dict`; ignores unknown keys."""
-        known = {f.name for f in fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in known}
+        kwargs = {k: v for k, v in data.items() if k in _STATS_FIELDS}
         kwargs["events"] = EventCounts.from_dict(data.get("events", {}))
         kwargs["ixu_by_stage"] = {
             int(k): v for k, v in data.get("ixu_by_stage", {}).items()
@@ -186,3 +187,6 @@ class CoreStats:
         if self.ixu_executed:
             parts.append(f"IXU rate {self.ixu_executed_rate:.1%}")
         return " ".join(parts)
+
+
+_STATS_FIELDS = frozenset(f.name for f in fields(CoreStats))

@@ -14,6 +14,12 @@ SHA-256 fingerprint of
   change to the simulator or workload generator invalidates old entries
   automatically.
 
+Serialising a config is most of a fingerprint's cost, so each process
+memoizes the canonical JSON of the configs it has fingerprinted (a
+value-keyed LRU of :data:`CONFIG_MEMO_SIZE` entries; configs are frozen
+dataclasses).  The memo only skips work: the hashed text, and so every
+digest, is byte-for-byte what the unmemoized formula produces.
+
 Entries are written atomically (temp file + ``os.replace``) so parallel
 workers and concurrent CLI invocations never observe torn files; a
 corrupt or unreadable entry is treated as a miss and deleted.
@@ -30,6 +36,7 @@ it.  These are the resume keys of the fault-tolerant runner.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -40,6 +47,11 @@ from repro.atomicio import replace_json
 
 #: Bump to invalidate every existing cache entry on a format change.
 CACHE_FORMAT = 1
+
+#: Distinct configs whose canonical JSON :func:`fingerprint` keeps per
+#: process.  Covers every preset plus a few DSE rungs of overridden
+#: configs; at ~1 kB of text each the memo stays around a megabyte.
+CONFIG_MEMO_SIZE = 1024
 
 _code_version_cache: Optional[str] = None
 
@@ -70,26 +82,57 @@ def code_version() -> str:
     return _code_version_cache
 
 
+#: ``_canonical(value) == json.dumps(value, sort_keys=True,
+#: default=str)``, without building an encoder per call.
+_canonical = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
+def _config_text(config) -> str:
+    """``_canonical(dataclasses.asdict(config))``, memoized."""
+    try:
+        memo_config, text = _memoized_config_text(config)
+    except TypeError:  # an unhashable field value, e.g. a JSON list
+        return _canonical(dataclasses.asdict(config))
+    # Equal configs can still serialise differently (16 vs 16.0, 1 vs
+    # True); their reprs differ exactly when their JSON does.
+    if memo_config is not config and repr(memo_config) != repr(config):
+        return _canonical(dataclasses.asdict(config))
+    return text
+
+
+@functools.lru_cache(maxsize=CONFIG_MEMO_SIZE)
+def _memoized_config_text(config):
+    return config, _canonical(dataclasses.asdict(config))
+
+
 def fingerprint(config, benchmark: str, measure: int, warmup: int,
                 seed: int) -> str:
     """Content address of one simulation: full config + run parameters.
 
-    Unlike the old hand-picked field list this derives from
-    ``dataclasses.asdict(config)``, so *every* config field — LSQ and
-    PRF capacities, predictor geometry, the cache hierarchy, ... —
-    participates in the key and two configs differing in any field can
-    never alias.
+    The SHA-256 of ``json.dumps(payload, sort_keys=True, default=str)``
+    where ``payload`` holds the cache format, :func:`code_version`,
+    ``dataclasses.asdict(config)`` and the run parameters.  Deriving
+    the key from ``asdict`` means *every* config field — LSQ and PRF
+    capacities, predictor geometry, the cache hierarchy, ... —
+    participates, so two configs differing in any field never alias.
+
+    The config's JSON comes from a per-process memo bounded at
+    :data:`CONFIG_MEMO_SIZE` configs: a repeated config costs a hash
+    lookup instead of a deep ``asdict`` copy.  The payload is assembled
+    in sorted-key order around the memoized text, so the hashed bytes
+    equal the unmemoized ``json.dumps`` exactly.
     """
-    payload = {
-        "format": CACHE_FORMAT,
-        "code": code_version(),
-        "config": dataclasses.asdict(config),
-        "benchmark": benchmark,
-        "measure": measure,
-        "warmup": warmup,
-        "seed": seed,
+    fields = {
+        "benchmark": _canonical(benchmark),
+        "code": _canonical(code_version()),
+        "config": _config_text(config),
+        "format": _canonical(CACHE_FORMAT),
+        "measure": _canonical(measure),
+        "seed": _canonical(seed),
+        "warmup": _canonical(warmup),
     }
-    canonical = json.dumps(payload, sort_keys=True, default=str)
+    canonical = "{%s}" % ", ".join(
+        f"{_canonical(key)}: {text}" for key, text in sorted(fields.items()))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 

@@ -326,36 +326,42 @@ def run_sweep(
     attempt, retries included.  ``on_trace_built`` is the pool's
     ``(trace_key, seconds)`` hook for trace pairs the pool parent built
     for its workers, time that no outcome's ``wall_seconds`` includes.
-    Returns one :class:`SweepOutcome` per input job in submission order;
-    duplicate jobs share a single execution and outcome.
+    Returns one :class:`SweepOutcome` per input job in submission order.
+    Jobs are deduplicated by their cache fingerprint: duplicates share a
+    single execution and outcome, whose ``job`` is the first submitted
+    job object of that fingerprint (never a copy from a worker).
     """
+    from repro.experiments.diskcache import fingerprint
     from repro.experiments.pool import JobFailure, SimJob, run_jobs
 
     jobs = list(jobs)
     outcomes: List[Optional[SweepOutcome]] = [None] * len(jobs)
-    indices: Dict[Tuple, List[int]] = {}
+    indices: Dict[str, List[int]] = {}
     misses: List[SimJob] = []
-    miss_keys: List[Tuple] = []
+    miss_digests: List[str] = []
 
-    def _emit(key: Tuple, outcome: SweepOutcome) -> None:
-        for index in indices[key]:
+    def _digest(job) -> str:
+        return fingerprint(job.config, job.benchmark, job.measure,
+                           job.warmup, job.seed)
+
+    def _emit(digest: str, outcome: SweepOutcome) -> None:
+        for index in indices[digest]:
             outcomes[index] = outcome
         if on_outcome is not None:
             on_outcome(outcome)
 
     for index, job in enumerate(jobs):
-        key = (_config_key(job.config), job.benchmark, job.measure,
-               job.warmup, job.seed)
-        if key in indices:
-            indices[key].append(index)
+        digest = _digest(job)
+        if digest in indices:
+            indices[digest].append(index)
             continue
-        indices[key] = [index]
+        indices[digest] = [index]
         if cache is not None:
             run = cache.load(job.config, job.benchmark, job.measure,
                              job.warmup, job.seed)
             if run is not None:
-                _emit(key, SweepOutcome(job=job, source="cache",
-                                        run=run))
+                _emit(digest, SweepOutcome(job=job, source="cache",
+                                           run=run))
                 continue
             if resume:
                 cache.clear_failure(job.config, job.benchmark,
@@ -366,30 +372,28 @@ def run_sweep(
                     job.seed)
                 if record is not None:
                     failure = JobFailure.from_dict(job, record)
-                    _emit(key, SweepOutcome(
+                    _emit(digest, SweepOutcome(
                         job=job, source="quarantine", failure=failure,
                         attempts=failure.attempts,
                         wall_seconds=failure.wall_seconds,
                         worker_pid=failure.worker_pid))
                     continue
         misses.append(job)
-        miss_keys.append(key)
+        miss_digests.append(digest)
     if not misses:
         return outcomes  # type: ignore[return-value]
 
     def _landed(result) -> None:
         # Completion-order incremental persistence + streaming, just
-        # like a CLI sweep: an interrupted batch loses nothing.  The
-        # key is recomputed from the result's own job: in pool mode the
-        # JobResult crossed a process boundary, so its job is an equal
-        # but not identical object.
-        job = result.job
+        # like a CLI sweep: an interrupted batch loses nothing.  In pool
+        # mode the JobResult crossed a process boundary, so its job is
+        # an equal copy; the outcome carries the submitted object.
+        digest = _digest(result.job)
+        job = jobs[indices[digest][0]]
         if cache is not None:
             cache.store(job.config, job.benchmark, job.measure,
                         job.warmup, job.seed, result.run)
-        key = (_config_key(job.config), job.benchmark, job.measure,
-               job.warmup, job.seed)
-        _emit(key, SweepOutcome(
+        _emit(digest, SweepOutcome(
             job=job, source="simulated", run=result.run,
             wall_seconds=result.wall_seconds, attempts=result.attempts,
             worker_pid=result.worker_pid, started_ts=result.started_ts))
@@ -399,13 +403,13 @@ def run_sweep(
                              retry_backoff=retry_backoff,
                              on_result=_landed, on_attempt=on_attempt,
                              on_trace_built=on_trace_built)
-    for job, key, outcome in zip(misses, miss_keys, pool_outcomes):
+    for job, digest, outcome in zip(misses, miss_digests, pool_outcomes):
         if isinstance(outcome, JobFailure):
             if cache is not None:
                 cache.store_failure(job.config, job.benchmark,
                                     job.measure, job.warmup, job.seed,
                                     outcome.to_dict())
-            _emit(key, SweepOutcome(
+            _emit(digest, SweepOutcome(
                 job=job, source="simulated", failure=outcome,
                 attempts=outcome.attempts,
                 wall_seconds=outcome.wall_seconds,

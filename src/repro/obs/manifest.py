@@ -125,7 +125,19 @@ class RunManifest:
         return [r for r in self.job_records if not r.ok]
 
     def to_dict(self) -> Dict:
-        data = asdict(self)
+        """Plain-dict form, equal to ``dataclasses.asdict(self)``.
+
+        Built field by field: only the top-level lists and dicts are
+        copied, so the entries inside them (aggregate rows and their
+        stall/top-down payloads) are shared with this manifest instead
+        of deep-copied.
+        """
+        data = {}
+        for name in _MANIFEST_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, (list, dict)):
+                value = value.copy()
+            data[name] = value
         data["job_records"] = [r.to_dict() for r in self.job_records]
         return data
 
@@ -154,6 +166,9 @@ class RunManifest:
     def read(cls, path) -> "RunManifest":
         with open(path) as stream:
             return cls.from_dict(json.load(stream))
+
+
+_MANIFEST_FIELDS = tuple(f.name for f in fields(RunManifest))
 
 
 def aggregate_entry(run, *, wall_seconds: float = 0.0,

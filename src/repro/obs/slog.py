@@ -86,6 +86,23 @@ class ConsoleFormatter(logging.Formatter):
         return line
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to whatever ``sys.stderr`` is at emit time.
+
+    Binding the stream once would keep a replaced ``sys.stderr`` (a
+    test's capture buffer, since closed) alive in every logger that a
+    longer-lived server thread still uses.  ``logging``'s last-resort
+    handler resolves the stream per record the same way.
+    """
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def get_logger(name: str = ROOT) -> logging.Logger:
     """Logger under the ``repro`` tree (``name`` may already include it)."""
     if name != ROOT and not name.startswith(ROOT + "."):
@@ -99,12 +116,15 @@ def configure(json_lines: bool = False, level: str = "info",
 
     Replaces any handler previously installed by this function, so
     repeated calls (e.g. several in-process test servers) never stack
-    duplicate handlers.  Returns the root ``repro`` logger.
+    duplicate handlers.  Without ``stream``, records go to the current
+    ``sys.stderr`` as each one is emitted.  Returns the root ``repro``
+    logger.
     """
     root = logging.getLogger(ROOT)
     root.setLevel(getattr(logging, level.upper(), logging.INFO))
     root.propagate = False
-    handler = logging.StreamHandler(stream or sys.stderr)
+    handler = (logging.StreamHandler(stream) if stream is not None
+               else _StderrHandler())
     handler.setFormatter(JsonFormatter() if json_lines
                          else ConsoleFormatter())
     handler._repro_slog = True  # type: ignore[attr-defined]

@@ -48,7 +48,10 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.atomicio import _HOST
-from repro.experiments.diskcache import DiskCache, code_version, fingerprint
+from repro.experiments.diskcache import DiskCache, code_version
+# Unused here since job digests come from JobSpec.digest at admission;
+# kept because perfbench/layers.py wraps this module's binding.
+from repro.experiments.diskcache import fingerprint  # noqa: F401
 from repro.experiments.runner import SweepOutcome, run_sweep
 from repro.obs import slog
 from repro.obs.manifest import (
@@ -88,26 +91,27 @@ def _now_iso() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _digest_of(job) -> str:
-    """Content address of a pool ``SimJob`` (the cache's fingerprint)."""
-    return fingerprint(job.config, job.benchmark, job.measure,
-                       job.warmup, job.seed)
-
-
 class Batch:
     """One admitted submission: its spec, event log and stream fan-out.
+
+    ``jobs`` and ``digests`` hold each spec's pool ``SimJob`` and
+    content address, built once at admission and reused by the sweep,
+    every job event and every attempt span.
 
     Events append on the server's event loop only; every subscriber
     replays the log from the start, so a client that connects after
     completion still sees the full history.
     """
 
-    def __init__(self, batch_id: str, spec: BatchSpec,
+    def __init__(self, batch_id: str, spec: BatchSpec, jobs: List,
                  digests: List[str], priority: int,
                  trace: Optional[TraceContext] = None):
         self.id = batch_id
         self.spec = spec
+        self.jobs = jobs
         self.digests = digests
+        self._digest_by_job = {id(job): digest
+                               for job, digest in zip(jobs, digests)}
         self.priority = priority
         self.events: List[Dict] = []
         self.done = False
@@ -119,6 +123,11 @@ class Batch:
         self.subscribers: Dict[int, int] = {}   # subscriber -> cursor
         self._next_subscriber = itertools.count(1)
         self._cond = asyncio.Condition()
+
+    def digest_of(self, job) -> str:
+        """Admission digest of one of this batch's ``SimJob`` objects
+        (sweep outcomes and pool attempts carry the submitted object)."""
+        return self._digest_by_job[id(job)]
 
     async def push(self, event: Dict) -> None:
         async with self._cond:
@@ -326,7 +335,7 @@ class SimServer:
     def _job_event(self, batch: Batch, outcome: SweepOutcome) -> Dict:
         """One streamed JSON-lines record per distinct job outcome."""
         self.metrics.counter(f"serve.jobs_{outcome.source}").add()
-        digest = _digest_of(outcome.job)
+        digest = batch.digest_of(outcome.job)
         status = "ok" if outcome.ok else "failed"
         self.telemetry.observe_job(outcome.source, status,
                                    outcome.wall_seconds)
@@ -512,8 +521,6 @@ class SimServer:
             "jobs": len(batch.spec.jobs),
             "distinct_jobs": len(set(batch.digests)),
             "mode": "local", "workers": self.workers})
-        jobs = [spec.sim_job() for spec in batch.spec.jobs]
-
         def on_outcome(outcome: SweepOutcome) -> None:
             # Runs on the executor thread; hand the event to the loop.
             event = self._job_event(batch, outcome)
@@ -528,7 +535,7 @@ class SimServer:
             batch.spans.append(batch.trace.span(
                 "simulate" if attempt == 1 else "retry",
                 started_ts, duration,
-                args={"digest": _digest_of(job),
+                args={"digest": batch.digest_of(job),
                       "benchmark": job.benchmark, "attempt": attempt,
                       "status": status, "worker_pid": worker_pid}))
 
@@ -536,7 +543,7 @@ class SimServer:
         # batch's workers; no job's wall time includes them.
         trace_builds: List[float] = []
         outcomes = await loop.run_in_executor(None, lambda: run_sweep(
-            jobs, workers=self.workers, cache=self.cache,
+            batch.jobs, workers=self.workers, cache=self.cache,
             timeout=self.timeout, retries=self.retries,
             retry_backoff=self.retry_backoff,
             resume=batch.spec.resume, on_outcome=on_outcome,
@@ -563,9 +570,10 @@ class SimServer:
         perf = time.perf_counter()
         distinct: Dict[str, object] = {}   # digest -> SimJob
         spec_of: Dict[str, object] = {}    # digest -> JobSpec
-        for spec, digest in zip(batch.spec.jobs, batch.digests):
+        for spec, job, digest in zip(batch.spec.jobs, batch.jobs,
+                                     batch.digests):
             if digest not in distinct:
-                distinct[digest] = spec.sim_job()
+                distinct[digest] = job
                 spec_of[digest] = spec
         await batch.push({
             "event": "batch_start", "batch_id": batch.id,
@@ -829,8 +837,9 @@ class SimServer:
                              extra={"tenant": spec.tenant,
                                     "reason": str(error)})
             return self._respond(writer, 429, {"error": str(error)})
+        jobs = [job.sim_job() for job in spec.jobs]
         digests = [job.digest() for job in spec.jobs]
-        batch = Batch(f"b{next(self._ids):06d}", spec, digests,
+        batch = Batch(f"b{next(self._ids):06d}", spec, jobs, digests,
                       policy.priority,
                       trace=TraceContext.new(spec.trace_id))
         batch.spans.append(batch.trace.span(

@@ -1,12 +1,22 @@
 """Tests for the persistent on-disk result cache and its fingerprints."""
 
+import dataclasses
+import hashlib
 import json
 from dataclasses import replace
 
 import pytest
 
 from repro.core import model_config
-from repro.experiments.diskcache import DiskCache, fingerprint
+from repro.core.config import IXUConfig
+from repro.core.presets import ca_config
+from repro.experiments.diskcache import (
+    CACHE_FORMAT,
+    DiskCache,
+    code_version,
+    fingerprint,
+)
+from repro.experiments.dse import apply_overrides
 from repro.experiments.runner import (
     BenchmarkRun,
     clear_cache,
@@ -66,6 +76,66 @@ class TestFingerprint:
                                    l1d_kb=big.hierarchy.l1d_kb * 2)
         )
         assert fingerprint(*_params(big)) != fingerprint(*_params(altered))
+
+
+def reference_fingerprint(config, benchmark, measure, warmup, seed):
+    """The unmemoized digest formula every cache entry is keyed on."""
+    payload = {
+        "format": CACHE_FORMAT,
+        "code": code_version(),
+        "config": dataclasses.asdict(config),
+        "benchmark": benchmark,
+        "measure": measure,
+        "warmup": warmup,
+        "seed": seed,
+    }
+    canonical = json.dumps(payload, sort_keys=True, default=str)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _pinned_configs():
+    from repro.serve.protocol import SERVE_MODELS
+
+    configs = [model_config(name) for name in SERVE_MODELS]
+    configs.append(apply_overrides(
+        model_config("HALF+FX"),
+        {"iq_entries": 16, "hierarchy.l2_kb": 256,
+         "ixu": {"stage_fus": [2, 2], "bypass_stage_limit": None}},
+        "dse/p0"))
+    configs.append(ca_config(steering="roundrobin"))
+    return configs
+
+
+class TestMemoizedFingerprint:
+    @pytest.mark.parametrize("bench,seed", [
+        ("hmmer", 0), ("mcf", 3), ("libquantum", 7)])
+    def test_equals_the_unmemoized_formula(self, bench, seed):
+        for config in _pinned_configs():
+            for _ in range(2):  # cold, then served from the memo
+                assert fingerprint(config, bench, 700, 1200, seed) == (
+                    reference_fingerprint(config, bench, 700, 1200, seed))
+
+    @pytest.mark.parametrize("change", [
+        lambda c: replace(c, hierarchy=replace(c.hierarchy, l2_kb=256)),
+        lambda c: replace(c, ixu=IXUConfig(stage_fus=(3, 1, 1, 1))),
+        # Equal under ==, different JSON: must not share a memo entry.
+        lambda c: replace(c, iq_entries=float(c.iq_entries)),
+        lambda c: replace(c, move_elimination=0),
+    ])
+    def test_memo_never_aliases(self, change):
+        base = model_config("HALF+FX")
+        variant = change(base)
+        for _ in range(2):  # both memoized, in either order
+            for config in (base, variant, replace(variant)):
+                assert fingerprint(*_params(config)) == (
+                    reference_fingerprint(*_params(config)))
+        assert fingerprint(*_params(base)) != fingerprint(*_params(variant))
+
+    def test_unhashable_field_value_still_fingerprints(self):
+        # Job-server overrides are JSON, so a field can hold a list.
+        odd = replace(model_config("BIG"), predictor_kind=["gshare"])
+        assert fingerprint(*_params(odd)) == reference_fingerprint(
+            *_params(odd))
 
 
 class TestDiskCache:

@@ -1,5 +1,6 @@
 """Tests for run manifests (provenance records)."""
 
+import dataclasses
 import json
 import os
 from types import SimpleNamespace
@@ -54,6 +55,31 @@ class TestRoundTrip:
         data = json.loads(path.read_text())
         assert data["cache"]["hits"] == 1
         assert data["job_records"][1]["wall_seconds"] == 5.0
+
+    def test_to_dict_equals_asdict_form(self):
+        manifest = sample_manifest()
+        manifest.job_records.append(JobRecord(
+            job="HALF+FX/mcf", wall_seconds=9.5, worker_pid=13,
+            attempts=3, status="failed", cause="timeout",
+            error="took 9.5s"))
+        manifest.fault_policy = {"retries": 2, "timeout": 9.0}
+        manifest.traces_built = 2
+        manifest.trace_build_seconds = 0.75
+        manifest.aggregates = [{
+            "model": "HALF+FX", "benchmark": "hmmer", "ipc": 1.5,
+            "stalls": {"dcache_miss": 600, "rob_full": 12},
+            "topdown": {"slots": {"retiring": 900, "frontend": 100},
+                        "energy_by_class": {"int": 2.5}},
+        }]
+        data = manifest.to_dict()
+        assert json.dumps(data, sort_keys=True) == json.dumps(
+            dataclasses.asdict(manifest), sort_keys=True)
+        # Top-level containers are copies: editing one leaves the
+        # manifest as it was.
+        data["aggregates"].append({})
+        data["cache"]["hits"] = 99
+        assert len(manifest.aggregates) == 1
+        assert manifest.cache["hits"] == 1
 
     def test_unknown_keys_are_ignored(self):
         data = sample_manifest().to_dict()

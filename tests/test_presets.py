@@ -1,5 +1,7 @@
 """Preset configurations must match Table I exactly."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -70,6 +72,15 @@ class TestTable1Conformance:
     def test_unknown_model(self):
         with pytest.raises(KeyError):
             model_config("MEDIUM")
+
+    def test_lookups_share_one_frozen_instance(self):
+        for name in MODEL_NAMES + ("CA",):
+            config = model_config(name)
+            assert model_config(name) is config
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                config.iq_entries = 8
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                config.hierarchy.l2_kb = 8
 
     def test_build_core_types(self):
         from repro.core import FXACore, InOrderCore, OutOfOrderCore

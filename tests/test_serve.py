@@ -1,6 +1,8 @@
 """Tests for simulation-as-a-service (repro.serve)."""
 
+import dataclasses
 import json
+import sys
 import threading
 
 import pytest
@@ -227,6 +229,18 @@ class TestRunSweep:
         assert outcomes[1] is outcomes[3]
         assert all(o.source == "simulated" for o in outcomes)
 
+    def test_outcomes_carry_the_submitted_job_objects(self, tmp_path):
+        # Pool workers return copies; the server looks digests up by the
+        # job objects it submitted.
+        jobs = self._jobs()
+        twins = [SimJob(config=job.config, benchmark=job.benchmark,
+                        **SMALL) for job in jobs]
+        outcomes = run_sweep(jobs + twins, workers=2,
+                             cache=DiskCache(tmp_path))
+        assert [o.job for o in outcomes] == jobs + jobs
+        assert all(o.job is job for o, job in zip(outcomes, jobs + jobs))
+        assert outcomes[0] is outcomes[2]
+
     def test_warm_sweep_is_pure_cache_replay(self, tmp_path):
         cache = DiskCache(tmp_path)
         cold = run_sweep(self._jobs(), cache=cache)
@@ -289,6 +303,27 @@ class TestServeEndToEnd:
         # The per-batch manifest landed on disk too.
         manifest_path = warm_end["manifest_path"]
         assert json.load(open(manifest_path))["jobs_simulated"] == 0
+
+    def test_warm_batch_serialises_no_config(self, serve, monkeypatch):
+        # Every digest of a resubmitted batch comes from the memoized
+        # config JSON: no dataclasses.asdict call inside the disk cache.
+        server, client, cache = serve
+        batch = {"jobs": [job_spec(), job_spec(model="BIG"),
+                          job_spec(overrides={"iq_entries": 16})]}
+        client.run_batch(batch)
+        calls = []
+        original = dataclasses.asdict
+
+        def counting_asdict(obj, *args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == (
+                    "repro.experiments.diskcache"):
+                calls.append(obj)
+            return original(obj, *args, **kwargs)
+
+        monkeypatch.setattr(dataclasses, "asdict", counting_asdict)
+        warm = client.run_batch(batch)
+        assert warm[-1]["by_source"] == {"cache": 3}
+        assert calls == []
 
     def test_results_byte_identical_to_direct_sweep(self, serve,
                                                     tmp_path):

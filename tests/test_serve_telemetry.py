@@ -11,6 +11,7 @@ server + spool-worker batch whose spans stitch into one trace.
 import http.client
 import io
 import json
+import logging
 import math
 import os
 import socket
@@ -249,6 +250,24 @@ class TestSlog:
         line = stream.getvalue().strip()
         assert "repro.serve: hello" in line
         assert "digest=abc" in line
+
+    def test_default_stream_is_stderr_at_emit_time(self, monkeypatch):
+        # A server thread outliving the test that configured logging
+        # must not write to that test's (closed) capture stream.
+        captured = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", captured)
+        slog.configure()
+        slog.get_logger("serve.access").info("first")
+        assert "first" in captured.getvalue()
+        captured.close()
+        later = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", later)
+        errors = []
+        monkeypatch.setattr(logging.Handler, "handleError",
+                            lambda handler, record: errors.append(record))
+        slog.get_logger("serve.access").info("second")
+        assert errors == []
+        assert "second" in later.getvalue()
 
     def test_configure_is_idempotent(self):
         stream = self._capture(json_lines=True)
