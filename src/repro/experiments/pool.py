@@ -10,17 +10,29 @@ worker processes:
   of the job tuple; results return in submission order and are
   bit-for-bit identical to a serial run regardless of worker count or
   scheduling.
+* **One worker per slot per trace group**: launches are grouped by
+  trace key.  A free slot starts a worker process for the first pending
+  key; the worker is bound to that key and runs the key's launches one
+  after another, each sent over the worker's own pipe, until none is
+  pending, when it retires.  A worker whose attempt raised retires too,
+  and a timed-out or dead worker is killed, so a retry never runs in a
+  process that failed an attempt; the next launch of the key starts a
+  fresh worker.  The parent sends a worker its next job before it books
+  the last one (``on_result``, ``on_attempt``), so its bookkeeping
+  overlaps the workers' execution.  No worker outlives
+  :func:`run_jobs`, and one whose parent dies exits.
 * **Trace sharing**: every model simulating one benchmark interval
-  replays the same trace, so under ``fork`` the parent launches jobs
-  grouped by trace key, builds a key's (warm-up, measure) trace pair
-  once when two or more pending launches share it, and hands it to each
-  worker as a process argument (inherited, not copied).  It drops the
-  pair once no launch of that key is pending, so at most one is held at
-  each fork.  A pair is built at its group's first launch, never ahead
-  of it.  A key used by one job, a pair whose build raised or outlasted
-  ``timeout``, and every ``spawn`` worker build their own trace in the
-  worker, as does the serial path.  A job's ``wall_seconds`` therefore
-  excludes a parent-built trace; ``on_trace_built`` reports that cost.
+  replays the same trace, so under ``fork`` the parent builds a key's
+  (warm-up, measure) trace pair once when two or more pending launches
+  share it, and hands it to each worker it starts for that key as a
+  process argument (inherited, not copied).  It drops the pair once no
+  launch of that key is pending, so at most one is held at each fork.
+  A pair is built at its group's first launch, never ahead of it.  A key
+  used by one job, a pair whose build raised or outlasted ``timeout``,
+  and every ``spawn`` worker build their own trace in the worker (once
+  per worker, through ``simulate``'s memo), as does the serial path.  A
+  job's ``wall_seconds`` therefore excludes a parent-built trace;
+  ``on_trace_built`` reports that cost.
 * **Fault tolerant**: a worker exception, a wedged (timed-out) job or a
   worker process dying outright produces a structured
   :class:`JobFailure` in the job's result slot instead of tearing down
@@ -33,7 +45,8 @@ worker processes:
   without ``fork`` (no start method at all) degrades to a plain serial
   loop in-process.
 * **Accounted**: every :class:`JobResult`/:class:`JobFailure` carries
-  the job's wall-clock seconds, the worker pid and the attempt count.
+  the job's wall-clock seconds, the worker pid (shared by every job that
+  worker ran) and the attempt count.
 
 Timeout semantics: ``timeout`` bounds a job's *execution* time, measured
 from the moment a worker actually starts it — time spent queued behind
@@ -43,11 +56,13 @@ worker-side start signal).  In the serial path the check is necessarily
 post-hoc: the job has already run to completion in-process when the
 over-budget wall time is observed, so it is quarantined without retry
 (a deterministic job would only run long again) and all prior completed
-results are kept.  A trace pair the parent built for a job counts
-against that job's budget exactly as a worker-built one would: its
-build seconds are taken off the worker's deadline, and a pair whose
-build alone took longer than ``timeout`` is discarded so the workers
-build it themselves and time out as they always did.
+results are kept.  A trace pair the parent built counts against the
+budget exactly as a worker-built one would: a worker builds its pair
+during its first job and finds it in its memo for the rest, so the
+build seconds are taken off the deadline of the first job each worker
+started with the pair runs.  A pair whose build alone took longer than
+``timeout`` is discarded so the workers build it themselves and time
+out as they always did.
 """
 
 from __future__ import annotations
@@ -55,19 +70,14 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
-import queue as queue_lib
 import time
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import CoreConfig
 
-#: Parent-side poll interval while waiting on worker results.
-_POLL_SECONDS = 0.02
-#: How long a silently-exited worker may owe its (possibly in-flight)
-#: result message before the parent declares a worker-death.
-_DEATH_GRACE_SECONDS = 0.5
 #: Extra allowance on top of ``timeout`` for a worker that never even
 #: reported its execution start (covers process startup / import cost).
 _START_GRACE_SECONDS = 5.0
@@ -120,7 +130,12 @@ class SimJob:
 
 @dataclass
 class JobResult:
-    """One finished job plus its execution accounting."""
+    """One finished job plus its execution accounting.
+
+    ``worker_pid`` is the process that ran the job.  A pooled worker
+    runs job after job of one trace group, so one pid spans every job
+    that worker ran; serial jobs carry the caller's own pid.
+    """
 
     job: SimJob
     run: object                  # BenchmarkRun (import cycle avoided)
@@ -320,24 +335,32 @@ def _execute_job(job: SimJob, traces=None) -> JobResult:
                      started_ts=started_ts)
 
 
-def _worker_main(job: SimJob, attempt: int, index: int, results,
-                 injector, traces=None) -> None:
-    """Per-job worker process: report start, simulate, report outcome."""
-    pid = os.getpid()
-    started = time.perf_counter()
-    try:
-        results.put((index, attempt, "started", pid))
-        if injector is not None:
-            injector(job, attempt)
-        result = _execute_job(job, traces)
-        results.put((index, attempt, "ok", result))
-    except BaseException as exc:  # noqa: BLE001 — isolation is the point
+def _worker_main(conn, injector, traces=None) -> None:
+    """Worker process bound to one trace key: run each ``(job, attempt)``
+    the parent sends over ``conn`` and report on it, until the parent
+    sends ``None`` or goes away."""
+    parent = multiprocessing.parent_process()
+    watched = [conn] if parent is None else [conn, parent.sentinel]
+    while conn in wait(watched):
         try:
-            results.put((index, attempt, "error",
-                         (type(exc).__name__, str(exc), pid,
-                          time.perf_counter() - started)))
-        except BaseException:
-            os._exit(1)
+            message = conn.recv()
+        except EOFError:
+            return
+        if message is None:
+            return
+        job, attempt = message
+        started = time.perf_counter()
+        try:
+            conn.send(("started", None))
+            if injector is not None:
+                injector(job, attempt)
+            conn.send(("ok", _execute_job(job, traces)))
+        except BaseException as exc:  # noqa: BLE001 — isolation is the point
+            try:
+                conn.send(("error", (type(exc).__name__, str(exc),
+                                     time.perf_counter() - started)))
+            except BaseException:
+                os._exit(1)
 
 
 def _terminate(proc) -> None:
@@ -350,25 +373,43 @@ def _terminate(proc) -> None:
         proc.join(0.5)
 
 
-class _Running:
-    """Parent-side state of one in-flight attempt."""
+class _Worker:
+    """Parent-side handle on one live worker and the attempt it runs."""
 
-    __slots__ = ("proc", "attempt", "launched", "launched_ts",
-                 "exec_started", "exec_started_ts", "deadline",
-                 "dead_since", "charged")
+    __slots__ = ("proc", "conn", "key", "charge", "index", "attempt",
+                 "charged", "launched", "launched_ts", "exec_started",
+                 "exec_started_ts", "deadline")
 
-    def __init__(self, proc, attempt: int, charged: float = 0.0):
+    def __init__(self, proc, conn, key: Tuple, charge: float):
         self.proc = proc
+        self.conn = conn
+        self.key = key
+        #: Build seconds of the trace pair the worker was forked with,
+        #: owed by its first attempt only (later ones reuse the pair).
+        self.charge = charge
+
+    def launch(self, index: int, job: SimJob, attempt: int,
+               timeout: Optional[float]) -> None:
+        self.index = index
         self.attempt = attempt
-        #: Seconds of this job's budget already spent before launch (a
-        #: parent-built trace pair).
-        self.charged = charged
+        #: Seconds of this attempt's budget spent before it was sent.
+        self.charged, self.charge = self.charge, 0.0
         self.launched = time.monotonic()
         self.launched_ts = time.time()
         self.exec_started: Optional[float] = None
         self.exec_started_ts: Optional[float] = None
-        self.deadline: Optional[float] = None
-        self.dead_since: Optional[float] = None
+        self.deadline = (None if timeout is None else
+                         self.launched + timeout + _START_GRACE_SECONDS)
+        try:
+            self.conn.send((job, attempt))
+        except OSError:
+            pass  # the worker is gone; its sentinel reports the death
+
+    def started(self, timeout: Optional[float]) -> None:
+        self.exec_started = time.monotonic()
+        self.exec_started_ts = time.time()
+        if timeout is not None:
+            self.deadline = self.exec_started + timeout - self.charged
 
 
 def _notify_attempt(on_attempt, job: SimJob, attempt: int,
@@ -396,50 +437,50 @@ def _run_parallel(
     on_attempt=None,
     on_trace_built=None,
 ) -> List[Union[JobResult, JobFailure]]:
-    """Slot-based scheduler: one process per attempt, deadline per job.
+    """Slot-based scheduler: one worker per slot per trace group.
 
-    At most ``workers`` attempts run at once; a job's execution deadline
-    starts at its worker's "started" signal, so queue wait is never
-    charged against ``timeout``.  Launches are grouped by trace key so
-    a parent-built trace pair serves its whole group (see the module
-    docstring).  Outcomes are reassembled into submission order
+    At most ``workers`` worker processes live at once, each bound to one
+    trace key (see the module docstring).  The parent sleeps in
+    ``multiprocessing.connection.wait`` on the workers' pipes and
+    process sentinels until a message, a worker exit, the nearest
+    execution deadline or the nearest retry.  A job's deadline starts at
+    its worker's "started" message, so queue wait is never charged
+    against ``timeout``.  Outcomes are reassembled into submission order
     regardless of completion order.
     """
     from repro.workloads import generate_trace_pair
 
-    results_q = context.Queue()
     injector = _FAULT_INJECTOR
     outcomes: List[Optional[Union[JobResult, JobFailure]]] = (
         [None] * len(jobs))
     keys = [_trace_key(job) for job in jobs]
-    groups: Dict[Tuple, List[int]] = {}
+    # Trace key -> its pending (index, attempt) launches, in group order.
+    pending: Dict[Tuple, deque] = {}
     for index, key in enumerate(keys):
-        groups.setdefault(key, []).append(index)
-    pending = deque((index, 1) for group in groups.values()
-                    for index in group)
-    pending_keys = Counter(keys)
+        pending.setdefault(key, deque()).append((index, 1))
     handoff = context.get_start_method() == "fork"
     # (trace key, trace pair, build seconds) being handed out.
     held: Tuple = (None, None, 0.0)
     worker_built = set()  # keys whose parent-side build raised or ran long
     waiting: List[Tuple[float, int, int]] = []  # (ready_at, idx, attempt)
-    running: Dict[int, _Running] = {}
+    busy: List[_Worker] = []  # every live worker, each running an attempt
+    retired: List = []  # processes told to exit, not yet reaped
 
     def completed() -> List[JobResult]:
         return [o for o in outcomes if isinstance(o, JobResult)]
 
     def traces_for(index: int) -> Tuple:
-        """``(trace pair, build seconds)`` to hand job ``index``'s
-        worker, or ``(None, 0.0)`` when the worker builds its own.
+        """``(trace pair, build seconds)`` to start job ``index``'s
+        worker with, or ``(None, 0.0)`` when the worker builds its own.
 
-        ``index`` is still counted in ``pending_keys``.
+        ``index`` is still pending.
         """
         nonlocal held
         key = keys[index]
         if held[0] == key:
             return held[1], held[2]
         held = (None, None, 0.0)  # release before building the next pair
-        if not handoff or key in worker_built or pending_keys[key] < 2:
+        if not handoff or key in worker_built or len(pending[key]) < 2:
             return None, 0.0
         began = time.perf_counter()
         job = jobs[index]
@@ -465,6 +506,33 @@ def _run_parallel(
         held = (key, traces, seconds)
         return traces, seconds
 
+    def launch_next(worker: _Worker) -> None:
+        """Send ``worker`` the next pending launch of its key; drop the
+        held pair once that key has none left."""
+        nonlocal held
+        launches = pending[worker.key]
+        index, attempt = launches.popleft()
+        if not launches:
+            del pending[worker.key]
+            if held[0] == worker.key:
+                held = (None, None, 0.0)
+        worker.launch(index, jobs[index], attempt, timeout)
+
+    def start_worker() -> None:
+        """Start a worker for the first pending key and launch on it."""
+        key = next(iter(pending))
+        traces, charge = traces_for(pending[key][0][0])
+        conn, child = context.Pipe()
+        proc = context.Process(target=_worker_main,
+                               args=(child, injector, traces),
+                               name="repro-pool-worker", daemon=True)
+        del traces
+        proc.start()
+        child.close()
+        worker = _Worker(proc, conn, key, charge)
+        busy.append(worker)
+        launch_next(worker)
+
     def settle(index: int, failure: JobFailure) -> None:
         """Retry a failed attempt, or quarantine / abort the sweep."""
         if failure.attempts <= retries:
@@ -479,128 +547,124 @@ def _run_parallel(
                      else SweepAborted)
             raise error(failure, completed())
 
+    def finished(worker: _Worker, kind: str, payload) -> None:
+        """Book an answered attempt.  The worker gets its next launch
+        (or retires) first, so it runs while the parent books.  A
+        worker whose attempt raised retires, so no attempt runs in a
+        process that has already failed one."""
+        index, attempt = worker.index, worker.attempt
+        started_ts = worker.exec_started_ts or worker.launched_ts
+        pid = worker.proc.pid
+        if kind == "ok" and worker.key in pending:
+            launch_next(worker)
+        else:
+            busy.remove(worker)
+            try:
+                worker.conn.send(None)
+            except OSError:
+                pass
+            worker.conn.close()
+            retired.append(worker.proc)
+            retired[:] = [p for p in retired if p.exitcode is None]
+        if kind == "ok":
+            payload.attempts = attempt
+            outcomes[index] = payload
+            _notify_attempt(on_attempt, jobs[index], attempt,
+                            payload.started_ts, payload.wall_seconds,
+                            "ok", payload.worker_pid)
+            if on_result is not None:
+                on_result(payload)
+            return
+        error_type, error, wall = payload
+        _notify_attempt(on_attempt, jobs[index], attempt, started_ts,
+                        wall, "exception", pid)
+        settle(index, JobFailure(
+            job=jobs[index], cause="exception", error=error,
+            error_type=error_type, attempts=attempt,
+            wall_seconds=wall, worker_pid=pid))
+
+    def lost(worker: _Worker, cause: str, error: str,
+             error_type: str) -> None:
+        """Book an attempt that ended without an answer, and drop its
+        worker (killing it if it still runs)."""
+        ran_for = time.monotonic() - (worker.exec_started
+                                      or worker.launched)
+        busy.remove(worker)
+        worker.conn.close()
+        _terminate(worker.proc)
+        _notify_attempt(on_attempt, jobs[worker.index], worker.attempt,
+                        worker.exec_started_ts or worker.launched_ts,
+                        ran_for, cause, worker.proc.pid)
+        settle(worker.index, JobFailure(
+            job=jobs[worker.index], cause=cause, error=error,
+            error_type=error_type, attempts=worker.attempt,
+            wall_seconds=ran_for, worker_pid=worker.proc.pid))
+
+    def receive(worker: _Worker, exited: bool) -> None:
+        """Read what ``worker`` sent; once its pipe is drained, an
+        exited worker (a ``send`` completes before the sender can exit)
+        owes no answer, so its attempt died with it."""
+        try:
+            while worker.conn.poll():
+                kind, payload = worker.conn.recv()
+                if kind != "started":
+                    finished(worker, kind, payload)
+                    return
+                worker.started(timeout)
+        except (EOFError, OSError):
+            exited = True
+        if exited:
+            worker.proc.join(1.0)
+            lost(worker, "worker-death",
+                 f"worker pid {worker.proc.pid} exited with code "
+                 f"{worker.proc.exitcode} before returning a result",
+                 "WorkerDeath")
+
     try:
-        while pending or waiting or running:
+        while pending or waiting or busy:
             now = time.monotonic()
             if waiting:
                 due = [entry for entry in waiting if entry[0] <= now]
                 waiting = [e for e in waiting if e[0] > now]
                 for _, index, attempt in due:
-                    pending.append((index, attempt))
-                    pending_keys[keys[index]] += 1
-            while pending and len(running) < workers:
-                index, attempt = pending.popleft()
-                traces, charged = traces_for(index)
-                pending_keys[keys[index]] -= 1
-                proc = context.Process(
-                    target=_worker_main,
-                    args=(jobs[index], attempt, index, results_q,
-                          injector, traces),
-                )
-                del traces
-                proc.daemon = True
-                proc.start()
-                running[index] = _Running(proc, attempt, charged)
-                if held[0] is not None and not pending_keys[held[0]]:
-                    held = (None, None, 0.0)
-            if not running:
-                time.sleep(_POLL_SECONDS)
+                    pending.setdefault(keys[index], deque()).append(
+                        (index, attempt))
+            while pending and len(busy) < workers:
+                start_worker()
+            wake = ([w.deadline for w in busy if w.deadline is not None]
+                    + [entry[0] for entry in waiting])
+            delay = (max(0.0, min(wake) - time.monotonic()) if wake
+                     else None)
+            if not busy:
+                time.sleep(delay)
                 continue
-            block = True
-            while True:
-                try:
-                    message = results_q.get(
-                        timeout=_POLL_SECONDS if block else 0.0)
-                except (queue_lib.Empty, OSError, EOFError):
-                    break
-                block = False
-                index, attempt, kind, payload = message
-                state = running.get(index)
-                if state is None or attempt != state.attempt:
-                    continue  # stale message from a terminated attempt
-                if kind == "started":
-                    state.exec_started = time.monotonic()
-                    state.exec_started_ts = time.time()
-                    if timeout is not None:
-                        state.deadline = (state.exec_started + timeout
-                                          - state.charged)
-                elif kind == "ok":
-                    del running[index]
-                    state.proc.join(5.0)
-                    payload.attempts = attempt
-                    outcomes[index] = payload
-                    _notify_attempt(on_attempt, jobs[index], attempt,
-                                    payload.started_ts,
-                                    payload.wall_seconds, "ok",
-                                    payload.worker_pid)
-                    if on_result is not None:
-                        on_result(payload)
-                else:  # "error"
-                    del running[index]
-                    state.proc.join(5.0)
-                    error_type, error, pid, wall = payload
-                    _notify_attempt(
-                        on_attempt, jobs[index], attempt,
-                        state.exec_started_ts or state.launched_ts,
-                        wall, "exception", pid)
-                    settle(index, JobFailure(
-                        job=jobs[index], cause="exception", error=error,
-                        error_type=error_type, attempts=attempt,
-                        wall_seconds=wall, worker_pid=pid))
+            ready = wait([w.conn for w in busy]
+                         + [w.proc.sentinel for w in busy], delay)
+            for worker in list(busy):
+                exited = worker.proc.sentinel in ready
+                if exited or worker.conn in ready:
+                    receive(worker, exited)
             now = time.monotonic()
-            for index, state in list(running.items()):
-                proc = state.proc
-                ran_for = now - (state.exec_started
-                                 if state.exec_started is not None
-                                 else state.launched)
-                deadline = state.deadline
-                if deadline is None and timeout is not None:
-                    deadline = state.launched + timeout + _START_GRACE_SECONDS
-                if (deadline is not None and now > deadline
-                        and proc.is_alive()):
-                    _terminate(proc)
-                    del running[index]
-                    _notify_attempt(
-                        on_attempt, jobs[index], state.attempt,
-                        state.exec_started_ts or state.launched_ts,
-                        ran_for, "timeout", proc.pid or 0)
-                    settle(index, JobFailure(
-                        job=jobs[index], cause="timeout",
-                        error=(f"exceeded the {timeout:.1f}s per-job "
-                               f"execution timeout" + (
-                                   f" ({state.charged:.1f}s of it "
-                                   f"building its trace in the parent)"
-                                   if state.charged else "")),
-                        error_type="JobTimeoutError",
-                        attempts=state.attempt, wall_seconds=ran_for,
-                        worker_pid=proc.pid or 0))
-                elif not proc.is_alive():
-                    # Exited without an ok/error message: give any
-                    # in-flight message a grace period, then declare a
-                    # worker-death (OOM kill, segfault, os._exit).
-                    if state.dead_since is None:
-                        state.dead_since = now
-                    elif now - state.dead_since > _DEATH_GRACE_SECONDS:
-                        proc.join(1.0)
-                        del running[index]
-                        _notify_attempt(
-                            on_attempt, jobs[index], state.attempt,
-                            state.exec_started_ts or state.launched_ts,
-                            ran_for, "worker-death", proc.pid or 0)
-                        settle(index, JobFailure(
-                            job=jobs[index], cause="worker-death",
-                            error=(f"worker pid {proc.pid} exited with "
-                                   f"code {proc.exitcode} before "
-                                   f"returning a result"),
-                            error_type="WorkerDeath",
-                            attempts=state.attempt,
-                            wall_seconds=ran_for,
-                            worker_pid=proc.pid or 0))
+            for worker in list(busy):
+                # A worker whose answer is already in its pipe is read
+                # on the next pass, not killed.
+                if (worker.deadline is not None and now > worker.deadline
+                        and not worker.conn.poll()):
+                    lost(worker, "timeout",
+                         f"exceeded the {timeout:.1f}s per-job execution"
+                         f" timeout" + (
+                             f" ({worker.charged:.1f}s of it building its"
+                             f" trace in the parent)"
+                             if worker.charged else ""),
+                         "JobTimeoutError")
         return list(outcomes)
     finally:
-        for state in running.values():
-            _terminate(state.proc)
-        results_q.close()
+        for worker in busy:
+            worker.conn.close()
+            _terminate(worker.proc)
+        for proc in retired:
+            proc.join(1.0)
+            _terminate(proc)
 
 
 def _run_serial(
@@ -696,7 +760,9 @@ def run_jobs(
     Args:
         jobs: Job list (order is preserved in the outcome list).
         workers: Concurrent worker-process count; ``<= 1`` runs serially
-            in-process.
+            in-process.  Each worker runs the jobs of one trace group
+            one after another (see the module docstring), and every
+            worker has exited by the time this returns or raises.
         timeout: Per-job wall-clock limit in seconds, charged against
             the job's own *execution* time only — never the time it
             spent queued behind other jobs waiting for a worker slot.
